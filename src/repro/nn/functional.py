@@ -1,8 +1,11 @@
 """Functional neural-network operations built on :class:`repro.nn.tensor.Tensor`.
 
-The convolution and pooling kernels use an im2col/col2im strategy so the hot
-loop is a single large matrix multiplication (per the HPC guide: vectorise,
-avoid per-element Python loops).
+The convolution kernel uses an im2col/col2im strategy so the hot loop is a
+single large matrix multiplication (per the HPC guide: vectorise, avoid
+per-element Python loops).  Max pooling builds no columns: it folds
+``np.maximum`` over one strided view of the input per window offset, and
+its backward pass recomputes which element won each window from the saved
+input and output.
 
 Scratch-buffer reuse: the im2col column matrix and the zero-padded input are
 by far the largest allocations on the training hot path (tens of MB per conv
@@ -48,9 +51,10 @@ class legacy_kernels:
 
     Inside the context, ``conv2d`` uses the original per-image einsum
     contractions with freshly allocated N-major columns and ``max_pool2d``
-    skips the aligned fast path.  Only used as the measured *baseline* in
-    ``benchmarks/bench_hotpath.py``; results are numerically identical to the
-    optimised kernels.  Process-wide (unlike ``no_grad``) so a baseline with
+    the original im2col + argmax + col2im body (zero padding).  Only used as
+    the measured *baseline* in ``benchmarks/bench_hotpath.py``; results are
+    numerically identical to the optimised kernels on unpadded inputs.
+    Process-wide (unlike ``no_grad``) so a baseline with
     ``parallel_clients > 1`` still runs the legacy kernels on the runner's
     worker threads; do not enter it concurrently with an optimised run.
     """
@@ -417,23 +421,98 @@ def _conv2d_legacy(x: Tensor, weight: Tensor, bias, stride, padding) -> Tensor:
 
 
 def max_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
-    """2-D max pooling over ``(N, C, H, W)`` inputs.
+    """2-D max pooling over ``(N, C, H, W)`` inputs (``padding`` pads with -inf).
 
-    Non-overlapping pools that tile the input exactly (``stride == kernel``,
-    no padding — the common CNN case) take a reshape-based fast path whose
-    argmax runs over a small contiguous trailing axis; the general case falls
-    back to im2col/col2im.  Both pick the same (first) element on ties, so
-    results are identical.
+    The output is a running ``np.maximum`` over the ``kh*kw`` strided views
+    that pick one window offset from every window, folded in row-major
+    window order; no window array, layout copy or index array is built.  The
+    gradient of each window goes to its first maximal element (its first NaN
+    when it holds one), which the backward pass recomputes from the saved
+    input and output.  Exactly tiling pools (``stride == kernel``, no
+    padding, the input divisible by the kernel) write each input gradient
+    once, ``-0.0`` included; other geometries accumulate per offset, in the
+    order :func:`col2im` does.
     """
     _count_kernel("max_pool2d")
     kernel = _pair(kernel_size)
     stride = _pair(stride if stride is not None else kernel_size)
     padding = _pair(padding)
+    if _legacy_enabled():
+        return _max_pool2d_legacy(x, kernel, stride, padding)
     n, c, h, w = x.shape
     kh, kw = kernel
-    if stride == kernel and padding == (0, 0) and h % kh == 0 and w % kw == 0 and not _legacy_enabled():
-        return _max_pool2d_aligned(x, kernel)
+    sh, sw = stride
+    ph, pw = padding
+    out_h = (h + 2 * ph - kh) // sh + 1
+    out_w = (w + 2 * pw - kw) // sw + 1
+    padded = x.data
+    if ph or pw:
+        padded = np.full((n, c, h + 2 * ph, w + 2 * pw), -np.inf, dtype=x.dtype)
+        padded[:, :, ph : ph + h, pw : pw + w] = x.data
+    offsets = [
+        (slice(i, i + sh * (out_h - 1) + 1, sh), slice(j, j + sw * (out_w - 1) + 1, sw))
+        for i in range(kh)
+        for j in range(kw)
+    ]
+    views = [padded[:, :, rows, cols] for rows, cols in offsets]
+    out = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
 
+    if not (is_grad_enabled() and x.requires_grad):
+        return Tensor._make(out, (), lambda g: (), "max_pool2d")
+
+    tiling = stride == kernel and padding == (0, 0) and h % kh == 0 and w % kw == 0
+
+    def backward(grad: np.ndarray):
+        # Every input cell belongs to exactly one window of a tiling pool, so
+        # its gradient is assigned; elsewhere cells start at zero and sum.
+        dx = np.empty(padded.shape, grad.dtype) if tiling else np.zeros(padded.shape, grad.dtype)
+        nan_out = bool(np.isnan(out).any())
+        untaken = np.ones(out.shape, bool)  # windows whose winner is still ahead
+        for k, (view, (rows, cols)) in enumerate(zip(views, offsets)):
+            if k < len(offsets) - 1:
+                hit = view == out
+                if nan_out:
+                    hit |= np.isnan(view)
+                hit &= untaken
+                untaken ^= hit
+            else:
+                hit = untaken  # the last offset wins every window still open
+            dst = dx[:, :, rows, cols]
+            if tiling:
+                _select(hit, grad, dst)
+            else:
+                dst += _select(hit, grad, np.empty_like(grad))
+        return (dx[:, :, ph : ph + h, pw : pw + w] if (ph or pw) else dx,)
+
+    return Tensor._make(out, (x,), backward, "max_pool2d")
+
+
+def _select(hit: np.ndarray, grad: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``np.where(hit, grad, 0)`` into ``out``, bit for bit; return ``out``.
+
+    +0.0 is the all-zero bit pattern, so multiplying the raw bits of ``grad``
+    by the 0/1 mask selects the same values (``-0.0``, NaN and inf included)
+    as ``np.where``, in one pass that writes straight into a strided view.
+    """
+    if grad.itemsize in (1, 2, 4, 8):
+        bits = np.dtype(f"u{grad.itemsize}")
+        np.multiply(grad.view(bits), hit, out=out.view(bits))
+    else:
+        out[...] = np.where(hit, grad, 0)
+    return out
+
+
+def _max_pool2d_legacy(x: Tensor, kernel, stride, padding) -> Tensor:
+    """The seed implementation's max_pool2d (im2col, argmax, col2im).
+
+    Baseline-only: reached solely under :class:`legacy_kernels`, as the seed
+    baseline of ``benchmarks/bench_hotpath.py``; it pads with zeros, not
+    -inf.  It goes together with :func:`_conv2d_legacy`.
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel
     cols_key = ("pool", x.data.shape, kernel, stride, padding, x.data.dtype)
     out_h = (h + 2 * padding[0] - kh) // stride[0] + 1
     out_w = (w + 2 * padding[1] - kw) // stride[1] + 1
@@ -454,36 +533,6 @@ def max_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
         np.put_along_axis(dcols, arg[:, :, None, :], grad_flat[:, :, None, :], axis=2)
         dcols = dcols.reshape(n, c * kh * kw, out_h * out_w)
         return (col2im(dcols, x_shape, kernel, stride, padding),)
-
-    return Tensor._make(out, (x,), backward, "max_pool2d")
-
-
-def _max_pool2d_aligned(x: Tensor, kernel: Tuple[int, int]) -> Tensor:
-    """Fast path for non-overlapping, exactly tiling max pooling.
-
-    Rearranges each ``kh x kw`` window onto a small contiguous trailing axis
-    (one layout copy) so the argmax/max scan is sequential in memory, and the
-    backward pass is a single ``put_along_axis`` plus the inverse layout copy
-    — no im2col or col2im.  Window elements keep im2col's row-major order, so
-    argmax tie-breaking matches the general path exactly.
-    """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    out_h, out_w = h // kh, w // kw
-    # (N, C, out_h, kh, out_w, kw) -> (N, C, out_h, out_w, kh*kw), contiguous.
-    windows = np.ascontiguousarray(
-        x.data.reshape(n, c, out_h, kh, out_w, kw).transpose(0, 1, 2, 4, 3, 5)
-    ).reshape(n, c, out_h, out_w, kh * kw)
-    arg = windows.argmax(axis=-1)
-    out = windows.max(axis=-1)
-
-    def backward(grad: np.ndarray):
-        dwin = np.zeros((n, c, out_h, out_w, kh * kw), dtype=grad.dtype)
-        np.put_along_axis(dwin, arg[..., None], grad[..., None], axis=-1)
-        dx = np.ascontiguousarray(
-            dwin.reshape(n, c, out_h, out_w, kh, kw).transpose(0, 1, 2, 4, 3, 5)
-        ).reshape(n, c, h, w)
-        return (dx,)
 
     return Tensor._make(out, (x,), backward, "max_pool2d")
 

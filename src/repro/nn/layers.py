@@ -106,7 +106,8 @@ class MaxPool2d(Module):
         return F.max_pool2d(x, self.kernel_size, self.stride, self.padding)
 
     def __repr__(self) -> str:
-        return f"MaxPool2d(kernel_size={self.kernel_size})"
+        stride = self.kernel_size if self.stride is None else self.stride
+        return f"MaxPool2d(kernel_size={self.kernel_size}, stride={stride}, padding={self.padding})"
 
 
 class ReLU(Module):
