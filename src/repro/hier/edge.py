@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +49,32 @@ from ..obs import current_monitor, current_tracer, timed_call
 from ..privacy import dispatch_fingerprint
 
 __all__ = ["EdgeAggregator"]
+
+
+@dataclass
+class _DispatchedRound:
+    """A shard round between dispatch and collection."""
+
+    round_idx: int
+    #: the downlink packets that arrived, per client id
+    received: Dict[int, object]
+    #: the global the shard trains on (decoded when the hop is lossy)
+    dispatched_global: np.ndarray
+    #: reachable, uncrashed clients in shard order
+    active_ids: List[int]
+    #: payloads opened at dispatch on the process backend, reused at collection
+    payloads: Optional[Dict[int, Dict]] = None
+    #: the broadcast template the edge's pool holds (``None``: in-process round)
+    template: Optional[Mapping[str, object]] = None
+    #: the privacy dedupe key, computed at the first charged ingest
+    privacy_key: Optional[Tuple[int, int]] = None
+
+
+def _phase_timings(timings: Optional[Dict[str, float]]) -> Dict[str, float]:
+    timings = timings if timings is not None else {}
+    for phase in PHASES[:4]:  # the shard loop has no evaluate phase
+        timings.setdefault(phase, 0.0)
+    return timings
 
 
 class EdgeAggregator:
@@ -128,6 +155,12 @@ class EdgeAggregator:
                 f"step needs parent-side client state"
             )
         self._pool = None  # ProcessWorkerPool over this edge's shard
+        #: workers of every pool that trains at the same time as this edge's
+        #: (the BLAS budget's divisor); the hier runner sets it to the sum
+        #: over its edges, ``None`` means this pool alone
+        self.concurrent_workers: Optional[int] = None
+        #: the round dispatch_local_round started and run_local_round finishes
+        self._dispatched: Optional[_DispatchedRound] = None
         self.worker_telemetry = None  # banked metrics from retired pools
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_width = 0
@@ -230,10 +263,6 @@ class EdgeAggregator:
         cfg = self.server.config
         client_batch = int(getattr(cfg, "client_batch", 1) or 1)
         self._pending_steps = {}
-        if self.backend == "process" and self._store is None and len(clients) > 1:
-            uploads = self._update_clients_process(clients, payloads)
-            if uploads is not None:
-                return uploads
         if client_batch > 1 and len(clients) > 1 and not self.exchange.lossy:
             batched = run_batched_updates(
                 clients, payloads, client_batch, tracer=current_tracer()
@@ -254,20 +283,27 @@ class EdgeAggregator:
         self.client_steps += sum(self._pending_steps.get(cid, 0) for cid in gathered)
         self._pending_steps = {}
 
+    @property
+    def pool_workers(self) -> int:
+        """Worker processes in this edge's pool (0 off the process backend)."""
+        if self.backend != "process":
+            return 0
+        return min(self.max_workers, len(self.shard))
+
     def _ensure_pool(self):
         if self._pool is None:
             from ..mp.pool import ProcessWorkerPool
 
             client_batch = int(getattr(self.server.config, "client_batch", 1) or 1)
-            workers = min(self.max_workers, len(self.shard))
             if self._store is not None:
                 self._pool = ProcessWorkerPool.from_store(
-                    self._store, workers, client_batch=client_batch,
-                    ids=self.shard,
+                    self._store, self.pool_workers, client_batch=client_batch,
+                    ids=self.shard, concurrent_workers=self.concurrent_workers,
                 )
             else:
                 self._pool = ProcessWorkerPool.from_eager_clients(
-                    self.clients, workers, client_batch=client_batch
+                    self.clients, self.pool_workers, client_batch=client_batch,
+                    concurrent_workers=self.concurrent_workers,
                 )
         return self._pool
 
@@ -278,7 +314,11 @@ class EdgeAggregator:
         second fallback's ``sync_parent``) would silently diverge."""
         if self._pool is not None:
             try:
-                self._pool.sync_parent()
+                # A round still in flight was abandoned mid-way (a peer
+                # edge's collection raised): the workers' state is mid-round,
+                # so it is not synced home; close() drains it.
+                if not self._pool.in_flight:
+                    self._pool.sync_parent()
             finally:
                 self._bank_pool_telemetry()
                 self._pool.close()
@@ -312,23 +352,6 @@ class EdgeAggregator:
                     )
                 if monitor is not None:
                     monitor.observe_local_update(t[1] - t[0], client=cid)
-
-    def _update_clients_process(self, clients, payloads):
-        """Run this (eager) shard's updates on the edge's process pool; see
-        FederatedRunner._update_clients_process."""
-        from ..mp.pool import payload_template
-
-        ids = [c.client_id for c in clients]
-        template = payload_template(payloads, ids)
-        if template is None:
-            # Re-home the workers' authoritative state and drop the now-stale
-            # pool before running this shard in-process.
-            self._retire_pool()
-            return None
-        uploads, steps, timings = self._ensure_pool().run_round(ids, template)
-        self._pending_steps = steps
-        self._emit_worker_spans(ids, timings)
-        return {cid: uploads[cid] for cid in ids}
 
     def _update_clients_eager(self, clients: Sequence[BaseClient], payloads) -> Dict[int, Dict]:
         # With a tracer armed, updates are timed in place and the spans
@@ -380,92 +403,55 @@ class EdgeAggregator:
             uploads[client.client_id] = upload
         return uploads
 
-    def _local_round_process(
-        self, round_idx, active_ids, received, dispatched_global, accountant,
-        timings, tracer, lane,
-    ) -> bool:
-        """This shard's client phases on the edge's process pool (see
-        FederatedRunner._virtual_round_process — same structure, with the
-        edge's ingest/summary fold instead of a server finalize)."""
-        from ..mp.pool import payload_template
+    def _end_phase(self, timings, phase: str, t0: float, round_idx: int) -> float:
+        """Charge ``[t0, now)`` to ``phase`` and trace it on this edge's
+        lane; returns ``now``."""
+        now = time.perf_counter()
+        timings[phase] += now - t0
+        tracer = current_tracer()
+        if tracer is not None:
+            tracer.emit_span(
+                phase, "phase", t0, now, lane=f"edge:{self.edge_id}",
+                edge=self.edge_id, round=round_idx,
+            )
+        return now
 
-        def end_phase(phase: str, t0: float) -> float:
-            now = time.perf_counter()
-            timings[phase] += now - t0
-            if tracer is not None:
-                tracer.emit_span(
-                    phase, "phase", t0, now, lane=lane, edge=self.edge_id, round=round_idx
-                )
-            return now
+    def _client_config(self, cid: int):
+        if self._store is None:
+            return self._client_by_id[cid].config
+        return self._store.config if self._store.config is not None else self.server.config
 
-        tick = time.perf_counter()
-        payloads = {cid: self.exchange.open_dispatch(received[cid]) for cid in active_ids}
-        template = payload_template(payloads, active_ids)
-        if template is None:
-            self._retire_pool()
-            end_phase("broadcast", tick)
-            return False
-        tick = end_phase("broadcast", tick)
-
-        uploads, steps, wtimings = self._ensure_pool().run_round(active_ids, template)
-        self._emit_worker_spans(active_ids, wtimings)
-        tick = end_phase("local_update", tick)
-
-        # Lossless client hop is enforced for this backend — no reconcile.
-        packets = {
-            cid: self.exchange.encode_upload(uploads[cid], payloads[cid][GLOBAL_KEY])
-            for cid in active_ids
-        }
-        if self.communicator is not None:
-            gathered = self.communicator.collect(round_idx, packets)
-        else:
-            gathered = packets
-        self.client_steps += sum(steps.get(cid, 0) for cid in gathered)
-        tick = end_phase("gather", tick)
-
-        cfg = self._store.config if self._store.config is not None else self.server.config
-        privacy_key = None
-        for cid in active_ids:
+    def _ingest_gathered(self, pending, configs, gathered, accountant) -> None:
+        """Ingest the gathered uploads in ``configs`` order (``(cid,
+        config)`` pairs).  Privacy is charged per *accepted* ingest, keyed on
+        the exact dispatched-global bytes so a crash-recovery replay of this
+        shard round never double-spends the budget."""
+        for cid, cfg in configs:
             if cid not in gathered:
                 continue
-            self.ingest_upload(cid, gathered[cid], dispatched_global)
+            self.ingest_upload(cid, gathered[cid], pending.dispatched_global)
             if accountant is not None and cfg.privacy.enabled:
-                if privacy_key is None:
-                    privacy_key = dispatch_fingerprint(round_idx, dispatched_global)
-                accountant.record(cid, cfg.privacy.epsilon, key=privacy_key)
-        end_phase("aggregate", tick)
-        return True
+                if pending.privacy_key is None:
+                    pending.privacy_key = dispatch_fingerprint(
+                        pending.round_idx, pending.dispatched_global
+                    )
+                accountant.record(cid, cfg.privacy.epsilon, key=pending.privacy_key)
 
-    def run_local_round(
-        self,
-        round_idx: int,
-        accountant=None,
-        timings: Optional[Dict[str, float]] = None,
-    ) -> Tuple[Dict[str, np.ndarray], Tuple[int, ...]]:
-        """One synchronous shard round: dispatch → update → gather → ingest.
+    def dispatch_local_round(
+        self, round_idx: int, timings: Optional[Dict[str, float]] = None
+    ) -> None:
+        """Start one synchronous shard round without waiting for it.
 
-        Mirrors :meth:`FederatedRunner.run_round`'s client loop over this
-        shard (wave-limited when store-backed), then folds the uploads into
-        the shard summary via :meth:`summarize`.  ``timings`` (when given)
-        accumulates the runner's phase keys.
+        Broadcasts this edge's global to its shard and applies the
+        degraded-cohort rules; on the process backend it also opens the
+        payloads and hands the round to the edge's worker pool, which trains
+        while the caller moves on (the hier runner dispatches every edge
+        before collecting any).  :meth:`run_local_round` finishes the round.
+        ``timings`` (when given) accumulates the runner's phase keys.
         """
-        timings = timings if timings is not None else {}
-        for phase in PHASES[:4]:  # the shard loop has no evaluate phase
-            timings.setdefault(phase, 0.0)
+        timings = _phase_timings(timings)
         shard = list(self.shard)
         injector = self.communicator.injector if self.communicator is not None else None
-        tracer = current_tracer()
-        monitor = current_monitor()
-        lane = f"edge:{self.edge_id}"
-
-        def end_phase(phase: str) -> None:
-            now = time.perf_counter()
-            timings[phase] += now - tick
-            if tracer is not None:
-                tracer.emit_span(
-                    phase, "phase", tick, now, lane=lane, edge=self.edge_id, round=round_idx
-                )
-
         tick = time.perf_counter()
         broadcast_payload = {GLOBAL_KEY: self._global.copy()}
         packet = self.exchange.encode_dispatch(broadcast_payload)
@@ -492,34 +478,75 @@ class EdgeAggregator:
                     self.communicator.log.add_dead_letter(
                         DeadLetter(round_idx, client_endpoint(cid), "send_local", 0, 0, "crash")
                     )
-        end_phase("broadcast")
+        pending = _DispatchedRound(round_idx, received, dispatched_global, active_ids)
+        phase = "broadcast"
+        if self.backend == "process" and len(active_ids) > 1:
+            from ..mp.pool import payload_template
 
-        privacy_key = None
-        # Store-backed shard on the process backend: one pool call, each
-        # worker waving through its sub-shard (eager shards route through
-        # _update_clients' gate inside the wave loop instead).
-        pooled = (
-            self.backend == "process" and self._store is not None and len(active_ids) > 1
-        )
-        if pooled:
-            pooled = self._local_round_process(
-                round_idx, active_ids, received, dispatched_global, accountant,
-                timings, tracer, lane,
-            )
-        wave = max(1, int(self._store.live_cap)) if self._store is not None else len(shard)
-        wave_ids = [] if pooled else active_ids
-        for start in range(0, len(wave_ids), wave):
-            ids = wave_ids[start : start + wave]
+            pending.payloads = {
+                cid: self.exchange.open_dispatch(received[cid]) for cid in active_ids
+            }
+            template = payload_template(pending.payloads, active_ids)
+            if template is None:
+                # Re-home the workers' authoritative state and drop the
+                # now-stale pool; this round runs in-process.
+                self._retire_pool()
+            else:
+                tick = self._end_phase(timings, "broadcast", tick, round_idx)
+                self._ensure_pool().dispatch(active_ids, template)
+                pending.template = template
+                phase = "local_update"  # dispatching starts the shard's training
+        self._dispatched = pending
+        self._end_phase(timings, phase, tick, round_idx)
+
+    def _collect_process(self, pending, accountant, timings) -> None:
+        """Finish a round this edge's pool holds: collect → gather → ingest
+        (see FederatedRunner._virtual_round_process — same structure, with
+        the edge's ingest fold instead of a server finalize)."""
+        round_idx, ids = pending.round_idx, pending.active_ids
+        tick = time.perf_counter()
+        uploads, steps, wtimings = self._pool.run_round(ids, pending.template)
+        self._emit_worker_spans(ids, wtimings)
+        tick = self._end_phase(timings, "local_update", tick, round_idx)
+
+        # Lossless client hop is enforced for this backend — no reconcile.
+        packets = {
+            cid: self.exchange.encode_upload(uploads[cid], pending.payloads[cid][GLOBAL_KEY])
+            for cid in ids
+        }
+        if self.communicator is not None:
+            gathered = self.communicator.collect(round_idx, packets)
+        else:
+            gathered = packets
+        self.client_steps += sum(steps.get(cid, 0) for cid in gathered)
+        tick = self._end_phase(timings, "gather", tick, round_idx)
+
+        configs = [(cid, self._client_config(cid)) for cid in ids]
+        self._ingest_gathered(pending, configs, gathered, accountant)
+        self._end_phase(timings, "aggregate", tick, round_idx)
+
+    def _run_waves(self, pending, accountant, timings) -> None:
+        """Run a round in-process, a wave of ``live_cap`` clients at a time
+        (the whole shard at once when eager): update → gather → ingest."""
+        round_idx = pending.round_idx
+        tracer = current_tracer()
+        monitor = current_monitor()
+        opened = pending.payloads or {}
+        wave = max(1, int(self._store.live_cap)) if self._store is not None else len(self.shard)
+        for start in range(0, len(pending.active_ids), wave):
+            ids = pending.active_ids[start : start + wave]
             wave_start = tick = time.perf_counter()
             clients = [self._acquire(cid) for cid in ids]
-            payloads = {cid: self.exchange.open_dispatch(received[cid]) for cid in ids}
-            end_phase("broadcast")
+            payloads = {
+                cid: opened[cid] if cid in opened
+                else self.exchange.open_dispatch(pending.received[cid])
+                for cid in ids
+            }
+            tick = self._end_phase(timings, "broadcast", tick, round_idx)
 
-            tick = time.perf_counter()
             uploads = self._update_clients(clients, payloads)
-            end_phase("local_update")
+            tick = self._end_phase(timings, "local_update", tick, round_idx)
 
-            tick = time.perf_counter()
             packets = {}
             for client in clients:
                 cid = client.client_id
@@ -530,36 +557,52 @@ class EdgeAggregator:
             else:
                 gathered = packets
             self._settle_steps(gathered)
-            end_phase("gather")
+            tick = self._end_phase(timings, "gather", tick, round_idx)
 
-            tick = time.perf_counter()
-            # Privacy is charged per *accepted* ingest, keyed on the exact
-            # dispatched-global bytes so a crash-recovery replay of this shard
-            # round never double-spends the budget.
-            for client in clients:
-                cid = client.client_id
-                if cid not in gathered:
-                    continue
-                self.ingest_upload(cid, gathered[cid], dispatched_global)
-                if accountant is not None and client.config.privacy.enabled:
-                    if privacy_key is None:
-                        privacy_key = dispatch_fingerprint(round_idx, dispatched_global)
-                    accountant.record(cid, client.config.privacy.epsilon, key=privacy_key)
-            end_phase("aggregate")
+            configs = [(c.client_id, c.config) for c in clients]
+            self._ingest_gathered(pending, configs, gathered, accountant)
+            self._end_phase(timings, "aggregate", tick, round_idx)
             for cid in ids:
                 self._release(cid)
             if tracer is not None:
                 tracer.emit_span(
                     "wave", "round", wave_start, time.perf_counter(),
-                    lane=lane, edge=self.edge_id, round=round_idx,
+                    lane=f"edge:{self.edge_id}", edge=self.edge_id, round=round_idx,
                     wave=start // wave, clients=len(ids),
                 )
             if monitor is not None:
                 monitor.on_wave(self, round_idx, start // wave)
 
+    def run_local_round(
+        self,
+        round_idx: int,
+        accountant=None,
+        timings: Optional[Dict[str, float]] = None,
+    ) -> Tuple[Dict[str, np.ndarray], Tuple[int, ...]]:
+        """One synchronous shard round: dispatch → update → gather → ingest.
+
+        Finishes the round :meth:`dispatch_local_round` started for
+        ``round_idx``, running that step first when it has not run (serial
+        and thread backends, a crash replay).  Mirrors
+        :meth:`FederatedRunner.run_round`'s client loop over this shard
+        (wave-limited when store-backed, one pool round on the process
+        backend), then folds the uploads into the shard summary via
+        :meth:`summarize`.  ``timings`` (when given) accumulates the
+        runner's phase keys.
+        """
+        timings = _phase_timings(timings)
+        pending = self._dispatched
+        if pending is None or pending.round_idx != round_idx:
+            self.dispatch_local_round(round_idx, timings)
+            pending = self._dispatched
+        self._dispatched = None
+        if pending.template is not None:
+            self._collect_process(pending, accountant, timings)
+        else:
+            self._run_waves(pending, accountant, timings)
         tick = time.perf_counter()
         summary, participants = self.summarize()
-        end_phase("aggregate")
+        self._end_phase(timings, "aggregate", tick, round_idx)
         return summary, participants
 
     # -------------------------------------------------------------- plumbing

@@ -6,7 +6,9 @@ management) over a two-tier topology: every round the root's global model is
 broadcast once per edge (the edge↔root hop's codec and communicator), each
 :class:`~repro.hier.edge.EdgeAggregator` runs its shard's client loop
 (client↔edge hop) and folds the uploads into one exact shard summary, and
-the root combines the E summaries into the next global model.
+the root combines the E summaries into the next global model.  Every edge
+dispatches its shard round before any edge collects, so on the process
+backend all edges' worker pools train at once.
 
 Exactness: with identity codecs on both hops the resulting
 :class:`~repro.core.runner.TrainingHistory` — accuracies, losses, the global
@@ -125,6 +127,11 @@ class HierRunner:
         for edge in self.edges:
             if edge.communicator is None:
                 edge.communicator = self.client_communicator
+        # run_round trains every edge's pool at once, so the pools share one
+        # BLAS thread budget.
+        pooled = sum(edge.pool_workers for edge in self.edges)
+        for edge in self.edges:
+            edge.concurrent_workers = pooled or None
         self.evaluator = evaluator
         self.accountant = accountant if accountant is not None else PrivacyAccountant()
         self.history = TrainingHistory()
@@ -176,14 +183,24 @@ class HierRunner:
 
     # ------------------------------------------------------------------- run
     def run_round(self, round_idx: int) -> RoundResult:
-        """Execute one two-tier communication round and return its metrics."""
+        """Execute one two-tier communication round and return its metrics.
+
+        The edge tier runs phase-major: every live edge dispatches its shard
+        round (:meth:`EdgeAggregator.dispatch_local_round`) before any edge
+        collects it (:meth:`EdgeAggregator.run_local_round`, in edge order).
+        On the process backend the edges' worker pools therefore train at
+        the same time; on the serial and thread backends dispatch only
+        broadcasts, and each edge trains when it collects.  The result is
+        bitwise that of running the edges one after another; only the
+        client-hop comm log lists every edge's broadcasts before the gathers.
+        """
         timings: Dict[str, float] = {k: 0.0 for k in self.phase_seconds}
         tracer = current_tracer()
         round_start = time.perf_counter()
 
         def end_phase(phase: str) -> None:
             # Root-tier phase interval; edge-tier intervals are timed (and
-            # traced) inside EdgeAggregator.run_local_round on the edge lanes.
+            # traced) inside the EdgeAggregator round halves on the edge lanes.
             now = time.perf_counter()
             timings[phase] += now - tick
             if tracer is not None:
@@ -225,24 +242,31 @@ class HierRunner:
             edge.receive_global(self.exchange.open_dispatch(received[edge.edge_id]))
         end_phase("broadcast")
 
-        # Edges: the shard client loops (client↔edge hop), folded to
-        # summaries.  Edge order is fixed but irrelevant to the result —
-        # summaries are exact partials.  A planned edge crash loses the
-        # summary with the edge's memory; the root restores the edge's
-        # checkpoint slice, re-sends this round's global, and the replay —
-        # same round, same keyed fault draws, rolled-back clients — yields
-        # the exact summary the crash destroyed (privacy dedupe keeps the
-        # replayed releases from double-charging the budget).
+        # Edges, phase-major: every live edge first dispatches its shard
+        # round (on the process backend its pool starts training at once),
+        # then each collects, gathers, ingests and summarizes in edge order.
+        # The order is fixed but irrelevant to the result — summaries are
+        # exact partials.  A planned edge crash loses the summary with the
+        # edge's memory; the root restores the edge's checkpoint slice,
+        # re-sends this round's global, and the replay — same round, same
+        # keyed fault draws, rolled-back clients — yields the exact summary
+        # the crash destroyed (privacy dedupe keeps the replayed releases
+        # from double-charging the budget).  Later edges' rounds stay in
+        # flight meanwhile; each edge's pool is its own.
         summaries: Dict[int, Dict[str, np.ndarray]] = {}
         parts_by_edge: Dict[int, Tuple[int, ...]] = {}
         recovered: List[int] = []
+        edge_start: Dict[int, float] = {}
         for edge in live_edges:
-            (summary, part), e0, e1 = timed_call(
+            edge_start[edge.edge_id] = time.perf_counter()
+            edge.dispatch_local_round(round_idx, timings=timings)
+        for edge in live_edges:
+            (summary, part), _, e1 = timed_call(
                 edge.run_local_round, round_idx, accountant=self.accountant, timings=timings
             )
             if tracer is not None:
                 tracer.emit_span(
-                    "edge_round", "edge", e0, e1,
+                    "edge_round", "edge", edge_start[edge.edge_id], e1,
                     lane=f"edge:{edge.edge_id}", edge=edge.edge_id, round=round_idx,
                 )
             if injector is not None and injector.edge_crashed(edge.edge_id, round_idx):
@@ -382,9 +406,19 @@ class HierRunner:
 
     # -------------------------------------------------------------- plumbing
     def close(self) -> None:
-        """Release the edges' worker pools (recreated lazily if needed)."""
+        """Release the edges' worker pools (recreated lazily if needed).
+
+        Every edge is closed even when one raises (a round abandoned
+        mid-flight, say); the first error is re-raised afterwards.
+        """
+        error: Optional[BaseException] = None
         for edge in self.edges:
-            edge.close()
+            try:
+                edge.close()
+            except Exception as exc:
+                error = error or exc
+        if error is not None:
+            raise error
 
     def __enter__(self) -> "HierRunner":
         return self

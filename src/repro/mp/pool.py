@@ -9,6 +9,16 @@ runs its shard's local updates (per-client or as stacked cohorts, mirroring
 the runners' ``client_batch`` gate), and writes upload arrays into its own
 arena slot; the parent maps them back as zero-copy read-only views.
 
+A round has two halves.  :meth:`ProcessWorkerPool.dispatch` packs the
+broadcast and sends it to the workers without waiting;
+:meth:`ProcessWorkerPool.run_round` collects the uploads (dispatching first
+when the round was not already dispatched).  The hierarchical runner
+dispatches every edge's pool before collecting any, so the edges' workers
+train at once.  Because they do, each worker caps its BLAS at
+``max(1, usable_cores // concurrent_workers)`` threads, where
+``concurrent_workers`` counts the workers of every pool that runs at once
+(default: this pool's own).
+
 Because each client's ``update()`` is a deterministic function of its own
 state and the (bitwise-shared) broadcast vector, and because the caller
 folds uploads through :class:`~repro.core.partial.ExactPartial`, the
@@ -33,6 +43,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,8 +52,12 @@ from ..hier.topology import contiguous_shards
 from ..obs.metrics import MetricsRegistry
 from ..obs.profiler import current_profiler
 from .shm import ShmArena, ShmAttachment
+from .workers import blas_thread_budget
 
 __all__ = ["ProcessWorkerPool", "payload_template"]
+
+#: Seconds :meth:`ProcessWorkerPool.close` waits for its workers to stop.
+_STOP_GRACE_S = 5.0
 
 #: Monotone pool counter — keeps arena names unique when one process builds
 #: several pools (runner + edges, or sequential runs).
@@ -104,12 +119,17 @@ class ProcessWorkerPool:
     """A pool of spawn-context worker processes owning client shards.
 
     Build via :meth:`from_eager_clients` or :meth:`from_store`; drive with
-    :meth:`run_round`; keep the parent authoritative with :meth:`sync_parent`
-    (workers → parent) and :meth:`push_from_parent` (parent → workers);
-    :meth:`close` tears everything down (arenas unlinked, children joined).
+    :meth:`run_round`, or with :meth:`dispatch` then :meth:`run_round` so the
+    workers train while the parent does other work (one round in flight at a
+    time); keep the parent authoritative with :meth:`sync_parent` (workers →
+    parent) and :meth:`push_from_parent` (parent → workers); :meth:`close`
+    tears everything down (arenas unlinked, children joined).
     """
 
-    def __init__(self, mode: str, specs: List[Dict], shards, clients=None, store=None):
+    def __init__(
+        self, mode: str, specs: List[Dict], shards, clients=None, store=None,
+        concurrent_workers: Optional[int] = None,
+    ):
         global _POOL_SEQ
         _POOL_SEQ += 1
         self.mode = mode
@@ -121,6 +141,11 @@ class ProcessWorkerPool:
         self._clients = clients  # eager: {cid: parent-side BaseClient}
         self._store = store  # store: the parent-side ClientStateStore
         self._prefix = f"rpmp{os.getpid()}x{_POOL_SEQ}"
+        #: ``(ids, worker indices)`` of the dispatched, uncollected round
+        self._inflight: Optional[Tuple[Tuple[int, ...], List[int]]] = None
+        blas_threads = blas_thread_budget(
+            self.num_workers if concurrent_workers is None else concurrent_workers
+        )
         self._bcast = ShmArena(f"{self._prefix}b")
         self._attachment = ShmAttachment()
         self._ctx = mp.get_context("spawn")
@@ -131,6 +156,7 @@ class ProcessWorkerPool:
 
             for w, spec in enumerate(specs):
                 spec["prefix"] = f"{self._prefix}w{w}"
+                spec["blas_threads"] = blas_threads
                 parent_conn, child_conn = self._ctx.Pipe(duplex=True)
                 proc = self._ctx.Process(
                     target=worker_main, args=(child_conn, w), daemon=True,
@@ -159,8 +185,13 @@ class ProcessWorkerPool:
 
     # ------------------------------------------------------------ construction
     @classmethod
-    def from_eager_clients(cls, clients: Sequence, num_workers: int, client_batch: int = 1):
-        """Shard materialised clients across ``num_workers`` processes."""
+    def from_eager_clients(
+        cls, clients: Sequence, num_workers: int, client_batch: int = 1,
+        concurrent_workers: Optional[int] = None,
+    ):
+        """Shard materialised clients across ``num_workers`` processes.
+        ``concurrent_workers`` is the worker count of every pool that trains
+        at the same time as this one (the BLAS budget's divisor)."""
         by_id = {c.client_id: c for c in clients}
         shards = contiguous_shards([c.client_id for c in clients], num_workers)
         specs = [
@@ -182,10 +213,13 @@ class ProcessWorkerPool:
             }
             for shard in shards
         ]
-        return cls("eager", specs, shards, clients=by_id)
+        return cls("eager", specs, shards, clients=by_id, concurrent_workers=concurrent_workers)
 
     @classmethod
-    def from_store(cls, store, num_workers: int, client_batch: int = 1, ids=None):
+    def from_store(
+        cls, store, num_workers: int, client_batch: int = 1, ids=None,
+        concurrent_workers: Optional[int] = None,
+    ):
         """Shard a virtual population: each worker builds its own
         :class:`~repro.scale.store.ClientStateStore` over the shared factory
         and waves through its shard at a ``live_cap`` share.  ``ids`` narrows
@@ -220,7 +254,7 @@ class ProcessWorkerPool:
             }
             for shard in shards
         ]
-        return cls("store", specs, shards, store=store)
+        return cls("store", specs, shards, store=store, concurrent_workers=concurrent_workers)
 
     # --------------------------------------------------------------- messaging
     def _expect(self, w: int, op: str):
@@ -238,36 +272,72 @@ class ProcessWorkerPool:
         return reply[1:]
 
     # ---------------------------------------------------------------- rounds
-    def run_round(self, ids: Sequence[int], template: Mapping[str, object]):
-        """Run one round's local updates for ``ids`` across the workers.
+    @property
+    def in_flight(self) -> bool:
+        """Is a dispatched round waiting to be collected?"""
+        return self._inflight is not None
 
-        ``template`` is the shared broadcast payload (see
-        :func:`payload_template`); each worker hands every client its own
-        fresh copy.  Returns ``(uploads, steps, timings)`` keyed by client
-        id — upload arrays are read-only shared-memory views valid until the
-        next ``run_round``/``close``; ``timings`` holds worker-side
-        ``(t0, t1)`` perf-counter pairs for per-client-path updates (cohort
-        members have no per-client span, as on the threaded path they share
-        one ``cohort_step``).
+    def dispatch(self, ids: Sequence[int], template: Mapping[str, object]) -> None:
+        """Start one round's local updates for ``ids`` and return at once.
+
+        Packs ``template`` (the shared broadcast payload, see
+        :func:`payload_template`) once into the broadcast arena and sends
+        each worker its share of ``ids``; a worker hands every client its
+        own fresh copy.  :meth:`run_round` with the same
+        ids collects the result.  Raises ``RuntimeError`` while another
+        round is in flight.
         """
+        if self._inflight is not None:
+            raise RuntimeError(
+                f"a round for clients {list(self._inflight[0])} is already in flight; "
+                f"collect it with run_round before dispatching another"
+            )
         arrays = [(k, v) for k, v in template.items() if isinstance(v, np.ndarray)]
         scalars = {k: v for k, v in template.items() if not isinstance(v, np.ndarray)}
         name, manifest = self._bcast.pack(arrays)
-
-        members = [set(shard) for shard in self.shards]
         sent: List[int] = []
-        for w in range(self.num_workers):
-            worker_ids = [cid for cid in ids if cid in members[w]]
+        for w, shard in enumerate(self.shards):
+            members = set(shard)
+            worker_ids = [cid for cid in ids if cid in members]
             if worker_ids:
                 self._conns[w].send(("round", worker_ids, name, manifest, scalars))
                 sent.append(w)
+        self._inflight = (tuple(ids), sent)
+
+    def run_round(self, ids: Sequence[int], template: Mapping[str, object]):
+        """Collect one round's local updates for ``ids``.
+
+        Dispatches first unless :meth:`dispatch` already started this round
+        for the same ids (other ids raise ``RuntimeError``).  Returns
+        ``(uploads, steps, timings)`` keyed by client id — upload arrays are
+        read-only shared-memory views valid until the next round's dispatch
+        or :meth:`close`; ``timings`` holds worker-side ``(t0, t1)``
+        perf-counter pairs for per-client-path updates (cohort members have
+        no per-client span, as on the threaded path they share one
+        ``cohort_step``).  Every worker's reply is read even when one
+        fails, so the pool stays usable after a failed round.
+        """
+        if self._inflight is None:
+            self.dispatch(ids, template)
+        elif self._inflight[0] != tuple(ids):
+            raise RuntimeError(
+                f"run_round for clients {list(ids)} but the round in flight is for "
+                f"{list(self._inflight[0])}"
+            )
+        _, sent = self._inflight
+        self._inflight = None
         uploads: Dict[int, Dict[str, object]] = {}
         steps: Dict[int, int] = {}
         timings: Dict[int, Tuple[float, float]] = {}
+        error: Optional[RuntimeError] = None
         for w in sent:
-            up_name, up_manifest, up_scalars, w_steps, w_timings, w_telemetry = (
-                self._expect(w, "done")
-            )
+            try:
+                up_name, up_manifest, up_scalars, w_steps, w_timings, w_telemetry = (
+                    self._expect(w, "done")
+                )
+            except RuntimeError as exc:
+                error = error or exc
+                continue
             self._absorb_telemetry(w, w_telemetry)
             views = self._attachment.view(up_name, up_manifest, copy=False)
             for flat_key, arr in views.items():
@@ -277,6 +347,8 @@ class ProcessWorkerPool:
                 uploads.setdefault(cid, {}).update(extra)
             steps.update(w_steps)
             timings.update(w_timings)
+        if error is not None:
+            raise error
         missing = [cid for cid in ids if cid not in uploads]
         if missing:
             raise RuntimeError(f"process workers returned no upload for clients {missing}")
@@ -301,9 +373,14 @@ class ProcessWorkerPool:
                 profiler.add_folded("local_update", folded, root=f"worker:{w}")
 
     # ----------------------------------------------------------- state traffic
+    def _require_idle(self, what: str) -> None:
+        if self._inflight is not None:
+            raise RuntimeError(f"cannot {what} while a dispatched round is in flight")
+
     def sync_parent(self) -> None:
         """Pull authoritative state out of the workers into the parent-side
         clients/store (checkpoint capture, shutdown, inspection)."""
+        self._require_idle("sync worker state")
         for conn in self._conns:
             conn.send(("pull",))
         if self.mode == "eager":
@@ -325,6 +402,7 @@ class ProcessWorkerPool:
 
     def push_from_parent(self) -> None:
         """Push parent-side state down into the workers (checkpoint restore)."""
+        self._require_idle("push worker state")
         if self.mode == "eager":
             for w, shard in enumerate(self.shards):
                 self._conns[w].send(
@@ -342,14 +420,29 @@ class ProcessWorkerPool:
 
     # ----------------------------------------------------------------- teardown
     def close(self) -> None:
-        """Stop the workers, join them, and release every shared segment."""
+        """Stop the workers, join them, and release every shared segment.
+
+        A round still in flight is drained: each worker finishes it, its
+        reply is read and dropped, and the worker then stops and unlinks its
+        arena.  Workers that do not exit within the grace period are
+        terminated.
+        """
+        self._inflight = None
         for conn in self._conns:
             try:
                 conn.send(("stop",))
             except Exception:
                 pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
+        deadline = time.monotonic() + _STOP_GRACE_S
+        for proc, conn in zip(self._procs, self._conns):
+            # Reading the replies keeps a worker from blocking on a full pipe.
+            while proc.is_alive() and time.monotonic() < deadline:
+                try:
+                    if conn.poll(0.05):
+                        conn.recv()
+                except (EOFError, OSError):
+                    proc.join(timeout=max(0.0, deadline - time.monotonic()))
+                    break
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)

@@ -8,18 +8,31 @@ parent → worker           worker → parent
 ========================  =====================================================
 ``("init", spec)``        ``("ready",)``
 ``("round", ids, name,    ``("done", arena_name, manifest, scalars, steps,
-mainfest)``               timings, telemetry)``
+manifest, scalars)``      timings, telemetry)``
 ``("pull",)``             ``("states", {cid: state})`` / ``("snapshot", blobs)``
 ``("push", payload)``     ``("ok",)``
-``("stop",)``             *(exits)*
+``("stop",)``             ``("ok",)``, then exits
 ========================  =====================================================
+
+The parent sends ``("round", …)`` from
+:meth:`~repro.mp.pool.ProcessWorkerPool.dispatch` and reads the ``"done"``
+reply in :meth:`~repro.mp.pool.ProcessWorkerPool.run_round`; in between the
+worker trains while the parent is free (a hierarchical round dispatches
+every edge's pool before collecting any).
+
+The init ``spec`` carries ``blas_threads``, this worker's share of the
+host's BLAS thread budget (``max(1, usable_cores // concurrent_workers)``,
+computed parent-side over every pool that runs at once).  The worker caps
+the OpenBLAS it loaded with numpy to that count before building any client,
+so concurrently training workers never oversubscribe the cores.
 
 ``telemetry`` is this round's worker-side metrics delta — a
 ``MetricsRegistry.dump_state()`` labelled ``worker=<id>`` (CPU seconds,
-peak RSS, shm attach/arena-generation counts, kernel-call counters, a
-``local_update`` duration histogram) plus, when the spec opted in with
-``profile=True``, the round's collapsed-stack ``cProfile`` capture of the
-local-update section.  The parent merges deltas in worker-index order
+the worker's own peak RSS, its BLAS thread count as read back from the
+library (``worker_blas_threads``), shm attach/arena-generation counts,
+kernel-call counters, a ``local_update`` duration histogram) plus, when the
+spec opted in with ``profile=True``, the round's collapsed-stack
+``cProfile`` capture of the local-update section.  The parent merges deltas in worker-index order
 (:class:`~repro.mp.pool.ProcessWorkerPool` holds the merged registry), so
 the combined telemetry is deterministic for a deterministic schedule.
 
@@ -45,9 +58,10 @@ from __future__ import annotations
 
 import copy
 import cProfile
+import ctypes
 import time
 import traceback
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +76,20 @@ __all__ = ["worker_main"]
 
 
 def _peak_rss_bytes() -> int:
+    """This process's own peak resident set size, in bytes.
+
+    ``VmHWM`` belongs to the address space, which ``exec`` replaces;
+    ``ru_maxrss`` survives ``exec``, so a spawned worker (fork, then exec)
+    would report at least its parent's peak at spawn time.  ``ru_maxrss``
+    is the fallback where ``/proc`` is absent.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         import resource
 
@@ -72,6 +100,44 @@ def _peak_rss_bytes() -> int:
         return 0
 
 
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+_BLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in _BLAS_SETTERS)
+
+
+def set_blas_threads(count: int) -> Optional[int]:
+    """Cap every OpenBLAS mapped into this process at ``count`` threads.
+
+    Returns the thread count the library reports back, or ``None`` when no
+    OpenBLAS is loaded (the cap is then a no-op).  Runs after numpy has
+    loaded its BLAS, so it needs no environment variable set before import.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "blas" in line.lower()}
+    except OSError:
+        return None
+    reported = None
+    for path in sorted(p for p in paths if p.startswith("/")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, n) for n in _BLAS_SETTERS if hasattr(lib, n)), None)
+        getter = next((getattr(lib, n) for n in _BLAS_GETTERS if hasattr(lib, n)), None)
+        if setter is None:
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(int(count))
+        if getter is not None and reported is None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            reported = int(getter())
+    return reported
+
+
 class _WorkerState:
     """Everything one worker holds between messages."""
 
@@ -80,6 +146,7 @@ class _WorkerState:
         self.worker_id = int(worker_id)
         self.client_batch = int(spec.get("client_batch", 1))
         self.profile = bool(spec.get("profile", False))
+        self.blas_threads = set_blas_threads(int(spec["blas_threads"]))
         self.arena = ShmArena(str(spec["prefix"]))
         self.attachment = ShmAttachment()
         if self.mode == "eager":
@@ -199,6 +266,8 @@ class _WorkerState:
         )
         reg.gauge("worker_shm_bytes", **label).set(float(shm1["bytes"]))
         reg.gauge("worker_peak_rss_bytes", **label).set(float(_peak_rss_bytes()))
+        if self.blas_threads is not None:
+            reg.gauge("worker_blas_threads", **label).set(float(self.blas_threads))
         for kernel, count in sorted(kernel_call_counts().items()):
             delta = count - kernels0.get(kernel, 0)
             if delta:

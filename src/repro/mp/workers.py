@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["resolve_workers"]
+__all__ = ["resolve_workers", "usable_cores", "blas_thread_budget"]
 
 
 def resolve_workers(requested: int) -> int:
@@ -32,3 +32,20 @@ def resolve_workers(requested: int) -> int:
     if requested == 0:
         requested = os.cpu_count() or 1
     return max(1, requested)
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity, not the host's)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
+def blas_thread_budget(concurrent_workers: int) -> int:
+    """BLAS threads per worker so that ``workers × threads ≤ cores``.
+
+    ``concurrent_workers`` counts every worker process that trains at the
+    same time — all pools, not one.  Never below one thread.
+    """
+    return max(1, usable_cores() // max(1, int(concurrent_workers)))

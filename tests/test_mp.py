@@ -22,7 +22,9 @@ import pytest
 
 from repro.comm import SerialCommunicator, SharedMemoryTransport
 from repro.core import FLConfig, build_federation
+from repro.core.base import GLOBAL_KEY
 from repro.core.batched import count_client_steps
+from repro.core.fedavg import FedAvgClient
 from repro.core.models import MLP, SeededModelFn
 from repro.core.runner import FederatedRunner
 from repro.data import TensorDataset
@@ -471,3 +473,202 @@ class TestWorkerPoolBugfixes:
         crashed.communicator.install_faults(FaultPlan(seed=0, client_crashes={0: (1, 2)}))
         crashed.run(1)
         assert crashed.client_steps == per_client[0] + per_client[3]
+
+
+# ------------------------------------------- concurrent edge pools, BLAS budget
+class _FailingClient(FedAvgClient):
+    """A FedAvg client whose local update fails (module-level, so spawned
+    workers can unpickle it)."""
+
+    def update(self, payload):
+        raise ValueError(f"boom: client {self.client_id} failed its local update")
+
+
+def _gauges(registry, name):
+    """``{series key: value}`` of one gauge across worker labels."""
+    if registry is None:
+        return {}
+    gauges = registry.snapshot()["gauges"]
+    return {k: v for k, v in gauges.items() if k.startswith(name)}
+
+
+def _own_rss_bytes():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise RuntimeError("no VmRSS line")
+
+
+def _recording_pool(monkeypatch):
+    """Record every dispatch/collect as ``(op, pool)`` in call order."""
+    calls = []
+    real_dispatch = ProcessWorkerPool.dispatch
+    real_run_round = ProcessWorkerPool.run_round
+
+    def dispatch(pool, ids, template):
+        calls.append(("dispatch", pool))
+        return real_dispatch(pool, ids, template)
+
+    def run_round(pool, ids, template):
+        calls.append(("collect", pool))
+        return real_run_round(pool, ids, template)
+
+    monkeypatch.setattr(ProcessWorkerPool, "dispatch", dispatch)
+    monkeypatch.setattr(ProcessWorkerPool, "run_round", run_round)
+    return calls
+
+
+class TestConcurrentEdgePools:
+    def _pool(self, num_workers=1):
+        runner = build_federation(_config("fedavg", "serial"), _model_fn(), _datasets(4))
+        pool = ProcessWorkerPool.from_eager_clients(runner.clients, num_workers)
+        template = {GLOBAL_KEY: runner.server.global_params.copy()}
+        return pool, [c.client_id for c in runner.clients], template
+
+    def test_hier_round_dispatches_every_edge_before_collecting(self, monkeypatch):
+        """Phase-major: both edges' pools train at once — dispatch(e0),
+        dispatch(e1), collect(e0), collect(e1), every round."""
+        calls = _recording_pool(monkeypatch)
+        cfg = _config("iiadmm", "process", topology="edges:2")
+        runner = build_hier_federation(cfg, _seeded_model_fn(), _datasets(6))
+        try:
+            runner.run_round(0)
+            runner.run_round(1)
+            edge_of = {id(e._pool): e.edge_id for e in runner.edges}
+            order = [(op, edge_of[id(pool)]) for op, pool in calls]
+        finally:
+            runner.close()
+        one_round = [("dispatch", 0), ("dispatch", 1), ("collect", 0), ("collect", 1)]
+        assert order == one_round * 2
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_edge_crash_replay_while_peer_in_flight_is_bitwise(self, algorithm, monkeypatch):
+        """Edge 0 dies after its collection and is replayed while edge 1's
+        round is still in flight on its own pool — the run stays bitwise
+        the serial run with the same fault plan."""
+        plan = FaultPlan(seed=0, edge_crash_rounds={1: (0,)})
+
+        def run(backend):
+            cfg = _config(algorithm, backend, topology="edges:2")
+            runner = build_hier_federation(
+                cfg, _seeded_model_fn(), _datasets(6), test_dataset=_datasets(1, n=20)[0]
+            )
+            runner.enable_faults(plan)
+            history = runner.run()
+            key = (
+                _history_key(history),
+                [r.recovered_edges for r in history.rounds],
+                runner.server.global_params.tobytes(),
+                [(e.edge_id, e.server.global_params.tobytes()) for e in runner.edges],
+            )
+            return key, {e.shard: e.edge_id for e in runner.edges}
+
+        serial, _ = run("serial")
+        calls = _recording_pool(monkeypatch)
+        process, edge_of_shard = run("process")
+        assert process == serial
+        assert serial[1] == [(), (0,)]
+        order = [
+            (op, edge_of_shard[tuple(sorted(c for s in pool.shards for c in s))])
+            for op, pool in calls
+        ]
+        # round 1: edge 0's replay (restore, then dispatch + collect) runs
+        # between edge 1's dispatch and its collection
+        assert order[4:] == [
+            ("dispatch", 0), ("dispatch", 1), ("collect", 0),
+            ("dispatch", 0), ("collect", 0), ("collect", 1),
+        ]
+
+    def test_dispatch_protocol_misuse_raises(self):
+        pool, ids, template = self._pool()
+        try:
+            pool.dispatch(ids, template)
+            assert pool.in_flight
+            with pytest.raises(RuntimeError, match="already in flight"):
+                pool.dispatch(ids, template)
+            with pytest.raises(RuntimeError, match="round in flight"):
+                pool.run_round(ids[:2], template)
+            with pytest.raises(RuntimeError, match="in flight"):
+                pool.sync_parent()
+            uploads, steps, _ = pool.run_round(ids, template)
+            assert sorted(uploads) == ids and sorted(steps) == ids
+            assert not pool.in_flight
+        finally:
+            pool.close()
+
+    def test_close_drains_a_round_in_flight(self):
+        """close() with a dispatched round returns promptly, stops every
+        worker and leaves none of the pool's shared segments behind."""
+        import time
+
+        pool, ids, template = self._pool(num_workers=2)
+        prefix = pool._prefix
+        procs = list(pool._procs)
+        pool.dispatch(ids, template)
+        t0 = time.perf_counter()
+        pool.close()
+        assert time.perf_counter() - t0 < 10.0
+        assert not any(p.is_alive() for p in procs)
+        if os.path.isdir("/dev/shm"):
+            assert not [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
+
+    def test_close_after_failed_collection_stops_every_edge_pool(self):
+        """Edge 0's collection raises (a client's update fails in its
+        worker) while edge 1's round is in flight; runner.close() still
+        shuts both edges' pools down."""
+        cfg = _config("fedavg", "process", topology="edges:2")
+        runner = build_hier_federation(cfg, _seeded_model_fn(), _datasets(6))
+        for client in runner.edges[0].clients:
+            client.__class__ = _FailingClient
+        with pytest.raises(RuntimeError, match="boom"):
+            runner.run_round(0)
+        assert runner.edges[1]._pool.in_flight
+        procs = [p for e in runner.edges for p in e._pool._procs]
+        runner.close()
+        assert all(e._pool is None for e in runner.edges)
+        assert not any(p.is_alive() for p in procs)
+
+    def test_blas_budget_hier_and_flat(self):
+        """workers × BLAS threads ≤ max(cores, workers): across both edges'
+        pools of a hier run and within a flat 2-worker pool; a lone
+        1-worker pool keeps every usable core.  The gauge reaches the
+        parent's merged worker telemetry."""
+        from repro.mp.workers import usable_cores
+        from repro.obs import MetricsRegistry
+
+        cores = usable_cores()
+        cfg = replace(_config("fedavg", "process", topology="edges:2"), parallel_clients=1)
+        hier = build_hier_federation(cfg, _seeded_model_fn(), _datasets(6))
+        hier.run(1)
+        threads = [
+            v for e in hier.edges for v in _gauges(e.worker_telemetry, "worker_blas_threads").values()
+        ]
+        assert len(threads) == 2
+        assert all(t * 2 <= max(cores, 2) for t in threads)
+
+        def flat(workers):
+            cfg = replace(_config("fedavg", "process"), parallel_clients=workers)
+            runner = build_federation(cfg, _model_fn(), _datasets(4))
+            runner.run(1)
+            reg = MetricsRegistry()
+            reg.absorb_runner(runner)
+            return list(_gauges(reg, "worker_blas_threads").values())
+
+        two = flat(2)
+        assert len(two) == 2 and all(t * 2 <= max(cores, 2) for t in two)
+        assert flat(1) == [cores]
+
+    def test_worker_peak_rss_is_the_workers_own(self):
+        """A worker reports its own peak RSS, not the parent's: a parent
+        holding ≥200 MB spawns a one-worker pool whose peak stays below it."""
+        ballast = np.ones(256 * 2**20 // 8)
+        parent_rss = _own_rss_bytes()
+        assert parent_rss >= 200 * 2**20
+        cfg = replace(_config("fedavg", "process"), parallel_clients=1)
+        runner = build_federation(cfg, _model_fn(), _datasets(3))
+        runner.run(1)
+        peaks = list(_gauges(runner.worker_telemetry, "worker_peak_rss_bytes").values())
+        del ballast
+        assert len(peaks) == 1
+        assert 0 < peaks[0] < parent_rss
